@@ -733,11 +733,15 @@ let serve_cmd =
         trace_rate;
       }
     in
-    Server.run
-      ~ready:(fun p ->
-        Printf.printf "localcert serve: listening on %s:%d (%d workers)\n%!"
-          host p config.Server.workers)
-      config
+    match
+      Server.run
+        ~ready:(fun p ->
+          Printf.printf "localcert serve: listening on %s:%d (%d workers)\n%!"
+            host p config.Server.workers)
+        config
+    with
+    | () -> Ok ()
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
   let port_arg =
     Arg.(
@@ -794,9 +798,10 @@ let serve_cmd =
          "Run the certification server (binary protocol, batching, \
           admission control; SIGINT/SIGTERM drain gracefully)")
     Term.(
-      const run $ host_arg $ port_arg $ workers_arg $ jobs_arg $ queue_arg
-      $ inflight_arg $ conns_arg $ batch_arg $ log_arg $ metrics_arg
-      $ trace_file_arg $ trace_rate_arg)
+      term_result
+        (const run $ host_arg $ port_arg $ workers_arg $ jobs_arg $ queue_arg
+       $ inflight_arg $ conns_arg $ batch_arg $ log_arg $ metrics_arg
+       $ trace_file_arg $ trace_rate_arg))
 
 let print_run (r : Bench_schema.run) =
   Printf.printf "%s: %d requests in %.3fs -> %.0f req/s\n" r.Bench_schema.label

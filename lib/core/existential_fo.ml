@@ -62,6 +62,92 @@ let decode_shared ~id_bits ~k b =
       done;
       (ids, matrix))
 
+(* Decoded certificate: the raw shared part (neighbors' shared parts
+   are compared bit for bit), its parse — [None] when malformed — and
+   the k (distance, parent id) tree entries.  The whole value is
+   [None] when the certificate does not split. *)
+type dec = {
+  shared_bits : Bitstring.t;
+  shared : (int array * bool array array) option;
+  trees : (int * int) array;
+}
+
+let decode_cert ~id_bits ~k c =
+  Bitbuf.decode c (fun r ->
+      let shared_bits = Bitbuf.Reader.bitstring r in
+      let trees =
+        Array.init k (fun _ ->
+            let dist = Bitbuf.Reader.nat r in
+            let parent_id = Bitbuf.Reader.fixed r ~width:id_bits in
+            (dist, parent_id))
+      in
+      (shared_bits, trees))
+  |> Option.map (fun (shared_bits, trees) ->
+         { shared_bits; shared = decode_shared ~id_bits ~k shared_bits; trees })
+
+let lowering ~k ~vars matrix_formula : dec option Scheme.lowering =
+  let check ~id_bits:_ ~me ~label:_ mine ~ids:nids ~decs ~lo ~hi :
+      Scheme.verdict =
+    let rec exists p i = i < hi && (p decs.(i) || exists p (i + 1)) in
+    match mine with
+    | None -> Reject "malformed certificate"
+    | Some { shared = None; _ } -> Reject "malformed shared part"
+    | Some { shared = Some (ids, madj); shared_bits; trees } ->
+        if exists Option.is_none lo then Reject "malformed neighbor certificate"
+        else
+          let deg = hi - lo in
+          let nids = Array.sub nids lo deg in
+          let ndecs = Array.init deg (fun j -> Option.get decs.(lo + j)) in
+          if
+            Array.exists
+              (fun d -> not (Bitstring.equal d.shared_bits shared_bits))
+              ndecs
+          then Reject "shared parts disagree"
+          else begin
+            (* the k spanning-tree checks, tree i rooted at witness i *)
+            let tree_cert i (dist, parent_id) =
+              { Spanning_tree.root_id = ids.(i); dist; parent_id }
+            in
+            let rec check_trees i : Scheme.verdict =
+              if i = k then Accept
+              else
+                match
+                  Spanning_tree.tree_check ~me (tree_cert i trees.(i))
+                    ~ids:nids
+                    ~decs:(Array.map (fun d -> tree_cert i d.trees.(i)) ndecs)
+                    ~lo:0 ~hi:deg
+                with
+                | Accept -> check_trees (i + 1)
+                | Reject e -> Reject (Printf.sprintf "tree %d: %s" i e)
+            in
+            match check_trees 0 with
+            | Reject _ as r -> r
+            | Accept ->
+                (* witness-side adjacency row check *)
+                let row_ok = ref true in
+                Array.iteri
+                  (fun i idi ->
+                    if idi = me then
+                      Array.iteri
+                        (fun j idj ->
+                          if j <> i then begin
+                            let actual = idj <> me && Array.mem idj nids in
+                            if madj.(i).(j) <> actual then row_ok := false
+                          end)
+                        ids)
+                  ids;
+                if not !row_ok then
+                  Reject "matrix misstates a witness adjacency"
+                else if
+                  eval_matrix ~vars ~ids
+                    ~adj:(fun a b -> madj.(a).(b))
+                    matrix_formula
+                then Accept
+                else Reject "matrix does not satisfy the sentence"
+          end
+  in
+  { decode = (fun ~id_bits c -> decode_cert ~id_bits ~k c); check }
+
 let make phi =
   (* accept any sentence whose prenex normal form is existential
      (Lemma 2.1's phrasing), not only syntactically prenex inputs *)
@@ -136,96 +222,5 @@ let make phi =
                  Bitbuf.Writer.contents w))
     end
   in
-  let split ~id_bits c =
-    Bitbuf.decode c (fun r ->
-        let shared = Bitbuf.Reader.bitstring r in
-        let trees =
-          List.init k (fun _ ->
-              let dist = Bitbuf.Reader.nat r in
-              let parent_id = Bitbuf.Reader.fixed r ~width:id_bits in
-              (dist, parent_id))
-        in
-        (shared, trees))
-  in
-  let verifier (view : Scheme.view) : Scheme.verdict =
-    let id_bits = view.id_bits in
-    match split ~id_bits view.cert with
-    | None -> Reject "malformed certificate"
-    | Some (shared_bits, my_trees) -> (
-        match decode_shared ~id_bits ~k shared_bits with
-        | None -> Reject "malformed shared part"
-        | Some (ids, madj) -> (
-            let nbrs = List.map (fun (nid, c) -> (nid, split ~id_bits c)) view.nbrs in
-            if List.exists (fun (_, p) -> p = None) nbrs then
-              Reject "malformed neighbor certificate"
-            else
-              let nbrs = List.map (fun (nid, p) -> (nid, Option.get p)) nbrs in
-              if
-                List.exists
-                  (fun (_, (s, _)) -> not (Bitstring.equal s shared_bits))
-                  nbrs
-              then Reject "shared parts disagree"
-              else begin
-                (* the k spanning-tree checks *)
-                let rec check_trees i trees =
-                  match trees with
-                  | [] -> Ok ()
-                  | (dist, parent_id) :: rest -> (
-                      let cert =
-                        {
-                          Spanning_tree.root_id = ids.(i);
-                          dist;
-                          parent_id;
-                        }
-                      in
-                      let neighbors =
-                        List.map
-                          (fun (nid, (_, ts)) ->
-                            let ndist, nparent = List.nth ts i in
-                            ( nid,
-                              {
-                                Spanning_tree.root_id = ids.(i);
-                                dist = ndist;
-                                parent_id = nparent;
-                              } ))
-                          nbrs
-                      in
-                      match
-                        Spanning_tree.check_tree_view ~me:view.me cert
-                          ~neighbors
-                      with
-                      | Ok () -> check_trees (i + 1) rest
-                      | Error e ->
-                          Error (Printf.sprintf "tree %d: %s" i e))
-                in
-                match check_trees 0 my_trees with
-                | Error e -> Reject e
-                | Ok () ->
-                    (* witness-side adjacency row check *)
-                    let neighbor_ids = List.map fst view.nbrs in
-                    let row_ok = ref true in
-                    Array.iteri
-                      (fun i idi ->
-                        if idi = view.me then
-                          Array.iteri
-                            (fun j idj ->
-                              if j <> i then begin
-                                let actual =
-                                  if idj = view.me then false
-                                  else List.mem idj neighbor_ids
-                                in
-                                if madj.(i).(j) <> actual then row_ok := false
-                              end)
-                            ids)
-                      ids;
-                    if not !row_ok then
-                      Reject "matrix misstates a witness adjacency"
-                    else if
-                      eval_matrix ~vars ~ids
-                        ~adj:(fun a b -> madj.(a).(b))
-                        matrix_formula
-                    then Accept
-                    else Reject "matrix does not satisfy the sentence"
-              end))
-  in
-  { Scheme.name; prover; verifier; compiled = None }
+  Scheme.of_lowering ~name ~prover
+    (lowering ~k ~vars matrix_formula)

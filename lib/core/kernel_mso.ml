@@ -487,7 +487,7 @@ let lowering ~k ~t phi : dec Scheme.lowering =
     in
     match result with Ok () -> Accept | Error e -> Reject e
   in
-  { decode; check; flat = None }
+  { decode; check }
 
 (* ------------------------------------------------------------------ *)
 (* Schemes                                                              *)

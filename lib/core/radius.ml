@@ -12,7 +12,7 @@ type t = {
   name : string;
   radius : int;
   prover : Instance.t -> Bitstring.t array option;
-  verifier : ball -> Scheme.verdict;
+  check : ball -> Scheme.verdict;
 }
 
 let ball_of (inst : Instance.t) certs ~r v =
@@ -51,7 +51,7 @@ let ball_of (inst : Instance.t) certs ~r v =
 let run scheme (inst : Instance.t) certs =
   let rejections = ref [] in
   for v = Graph.n inst.Instance.graph - 1 downto 0 do
-    match scheme.verifier (ball_of inst certs ~r:scheme.radius v) with
+    match scheme.check (ball_of inst certs ~r:scheme.radius v) with
     | Scheme.Accept -> ()
     | Scheme.Reject reason -> rejections := (v, reason) :: !rejections
   done;
@@ -77,7 +77,7 @@ let diameter_at_most ~d =
           && Graph.diameter inst.Instance.graph <= d
         then Some (Array.make (Instance.n inst) Bitstring.empty)
         else None);
-    verifier =
+    check =
       (fun ball ->
         (* certificates must be empty — this scheme uses none *)
         if Array.exists (fun c -> Bitstring.length c > 0) ball.certs then
@@ -92,7 +92,7 @@ let of_radius1 (s : Scheme.t) =
     name = s.Scheme.name;
     radius = 1;
     prover = s.Scheme.prover;
-    verifier =
+    check =
       (fun ball ->
         let nbrs =
           List.filter_map
@@ -103,7 +103,7 @@ let of_radius1 (s : Scheme.t) =
             (List.init (Graph.n ball.graph) Fun.id)
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        s.Scheme.verifier
+        Scheme.verify s
           {
             Scheme.me = ball.ids.(ball.center);
             id_bits = ball.id_bits;

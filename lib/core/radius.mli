@@ -30,7 +30,7 @@ type t = {
   name : string;
   radius : int;
   prover : Instance.t -> Bitstring.t array option;
-  verifier : ball -> Scheme.verdict;
+  check : ball -> Scheme.verdict;  (** the verifier, run on every ball *)
 }
 
 val ball_of : Instance.t -> Bitstring.t array -> r:int -> int -> ball

@@ -87,17 +87,11 @@ let all =
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-(* One line per family: the registry name, the (possibly
-   parameterized) name of the pinned default scheme, and whether it
-   publishes a lowering for the compiled engine path. *)
+(* One line per family: the registry name and the (possibly
+   parameterized) name of the pinned default scheme. *)
 let summary () =
   List.map
     (fun e ->
-      let base =
-        if e.name = e.scheme.Scheme.name then e.name
-        else Printf.sprintf "%s (%s)" e.name e.scheme.Scheme.name
-      in
-      match e.scheme.Scheme.compiled with
-      | Some _ -> base ^ " [compiled]"
-      | None -> base)
+      if e.name = e.scheme.Scheme.name then e.name
+      else Printf.sprintf "%s (%s)" e.name e.scheme.Scheme.name)
     all

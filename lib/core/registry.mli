@@ -25,7 +25,5 @@ val find : string -> entry option
 
 val summary : unit -> string list
 (** One line per registered family — the registry name, plus the
-    pinned default scheme's own name when it differs, tagged
-    [[compiled]] when the scheme publishes a lowering for the
-    ahead-of-time compiled verifier path.  Shown by the CLI's
-    [--version] banner. *)
+    pinned default scheme's own name when it differs.  Shown by the
+    CLI's [--version] banner. *)

@@ -8,13 +8,14 @@ type view = {
 
 type verdict = Accept | Reject of string
 
-(* A lowering splits a radius-1 verifier into a total per-certificate
-   decode stage and a check stage over pre-decoded values.  The
-   interpreted verifier decodes every view from scratch; the compiled
-   engine path (Localcert_engine.Vcompile) decodes each distinct
-   certificate once and reuses the result across every vertex that
-   sees it.  Because both paths end in the same [check], they agree on
-   every verdict — reason strings included — by construction. *)
+(* A lowering splits the radius-1 verifier into a total
+   per-certificate decode stage and a check stage over pre-decoded
+   values.  It is the only way a scheme states its check: [verify]
+   decodes every view from scratch, the compiled engine path
+   (Localcert_engine.Vcompile) decodes each distinct certificate once
+   and reuses the result across every vertex that sees it, and both
+   end in the same [check] — so they agree on every verdict, reason
+   strings included, by construction. *)
 type 'dec lowering = {
   decode : id_bits:int -> Bitstring.t -> 'dec;
   check :
@@ -27,33 +28,6 @@ type 'dec lowering = {
     lo:int ->
     hi:int ->
     verdict;
-  flat : 'dec flat option;
-}
-
-(* A flat plane lets the compiled engine replace the boxed [decs]
-   array with a struct-of-arrays int plane: slot [i]'s fields live at
-   [i * width].  Boxed decoded records are placed by the major-heap
-   allocator's size-class free lists, so at 10⁶+ vertices each
-   neighbor dereference is a cache miss on any graph whose adjacency
-   is not id-local; an int plane is one contiguous unboxed array and
-   the same row walk streams it sequentially.  [check_flat] must agree
-   with [check] verdict-for-verdict (reason strings included) — the
-   interpreted path still runs [check], and the differential tests
-   hold the two to each other. *)
-and 'dec flat = {
-  width : int;
-  write : 'dec -> int array -> int -> unit;
-  check_flat :
-    id_bits:int ->
-    me:int ->
-    label:int ->
-    mine:int array ->
-    mbase:int ->
-    ids:int array ->
-    plane:int array ->
-    lo:int ->
-    hi:int ->
-    verdict;
 }
 
 type compiled = Compiled : 'dec lowering -> compiled
@@ -61,11 +35,10 @@ type compiled = Compiled : 'dec lowering -> compiled
 type t = {
   name : string;
   prover : Instance.t -> Bitstring.t array option;
-  verifier : view -> verdict;
-  compiled : compiled option;
+  lowering : compiled;
 }
 
-let check_lowered (Compiled l) (view : view) =
+let verify { lowering = Compiled l; _ } (view : view) =
   let id_bits = view.id_bits in
   let mine = l.decode ~id_bits view.cert in
   let ids = Array.of_list (List.map fst view.nbrs) in
@@ -75,14 +48,7 @@ let check_lowered (Compiled l) (view : view) =
   l.check ~id_bits ~me:view.me ~label:view.label mine ~ids ~decs ~lo:0
     ~hi:(Array.length ids)
 
-let of_lowering ~name ~prover l =
-  let compiled = Compiled l in
-  {
-    name;
-    prover;
-    verifier = (fun view -> check_lowered compiled view);
-    compiled = Some compiled;
-  }
+let of_lowering ~name ~prover l = { name; prover; lowering = Compiled l }
 
 type outcome = {
   accepted : bool;
@@ -134,7 +100,7 @@ let run ?(early_exit = false) scheme inst certs =
   let rejections = ref [] in
   (try
      for v = Graph.n inst.Instance.graph - 1 downto 0 do
-       match scheme.verifier (view_of inst certs v) with
+       match verify scheme (view_of inst certs v) with
        | Accept -> ()
        | Reject reason ->
            rejections := (v, reason) :: !rejections;
@@ -198,41 +164,53 @@ let decode_pair c =
       let b = Bitbuf.Reader.bitstring r in
       (a, b))
 
+(* A combinator runs a component's check on the neighbor slice
+   [lo, hi), re-based at 0, with every decoded value projected to the
+   component's own. *)
+let check_part (l : _ lowering) ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi
+    proj =
+  let k = hi - lo in
+  l.check ~id_bits ~me ~label mine ~ids:(Array.sub ids lo k)
+    ~decs:(Array.init k (fun i -> proj decs.(lo + i)))
+    ~lo:0 ~hi:k
+
+let rec slice_exists p decs i hi =
+  i < hi && (p decs.(i) || slice_exists p decs (i + 1) hi)
+
 let conjoin ~name s1 s2 =
   let prover inst =
     match (s1.prover inst, s2.prover inst) with
     | Some c1, Some c2 -> Some (Array.map2 encode_pair c1 c2)
     | _ -> None
   in
-  let verifier view =
-    let split c = decode_pair c in
-    match split view.cert with
-    | None -> Reject "conjoin: malformed pair certificate"
-    | Some (mine1, mine2) -> (
-        let halves =
-          List.map (fun (id, c) -> (id, split c)) view.nbrs
-        in
-        if List.exists (fun (_, h) -> h = None) halves then
-          Reject "conjoin: malformed neighbor certificate"
-        else
-          let part proj mine =
-            {
-              view with
-              cert = mine;
-              nbrs =
-                List.map
-                  (fun (id, h) -> (id, proj (Option.get h)))
-                  halves;
-            }
-          in
-          match s1.verifier (part fst mine1) with
-          | Reject r -> Reject (s1.name ^ ": " ^ r)
-          | Accept -> (
-              match s2.verifier (part snd mine2) with
-              | Reject r -> Reject (s2.name ^ ": " ^ r)
-              | Accept -> Accept))
-  in
-  { name; prover; verifier; compiled = None }
+  match (s1.lowering, s2.lowering) with
+  | Compiled l1, Compiled l2 ->
+      of_lowering ~name ~prover
+        {
+          decode =
+            (fun ~id_bits c ->
+              Option.map
+                (fun (a, b) -> (l1.decode ~id_bits a, l2.decode ~id_bits b))
+                (decode_pair c));
+          check =
+            (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+              match mine with
+              | None -> Reject "conjoin: malformed pair certificate"
+              | Some (mine1, mine2) -> (
+                  if slice_exists Option.is_none decs lo hi then
+                    Reject "conjoin: malformed neighbor certificate"
+                  else
+                    let part l mine proj =
+                      check_part l ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi
+                        (fun d -> proj (Option.get d))
+                    in
+                    match part l1 mine1 fst with
+                    | Reject r -> Reject (s1.name ^ ": " ^ r)
+                    | Accept -> (
+                        match part l2 mine2 snd with
+                        | Reject r -> Reject (s2.name ^ ": " ^ r)
+                        | Accept -> Accept)));
+        }
 
 let disjoin ~name s1 s2 =
   let tag bit c =
@@ -255,32 +233,47 @@ let disjoin ~name s1 s2 =
         | Some c2 -> Some (Array.map (tag true) c2)
         | None -> None)
   in
-  let verifier view =
-    match untag view.cert with
-    | None -> Reject "disjoin: malformed certificate"
-    | Some (sel, body) -> (
-        let nbrs = List.map (fun (id, c) -> (id, untag c)) view.nbrs in
-        if List.exists (fun (_, u) -> u = None) nbrs then
-          Reject "disjoin: malformed neighbor certificate"
-        else if
-          List.exists (fun (_, u) -> fst (Option.get u) <> sel) nbrs
-        then Reject "disjoin: neighbors disagree on the selector"
-        else
-          let inner =
-            {
-              view with
-              cert = body;
-              nbrs = List.map (fun (id, u) -> (id, snd (Option.get u))) nbrs;
-            }
-          in
-          if sel then s2.verifier inner else s1.verifier inner)
-  in
-  { name; prover; verifier; compiled = None }
+  let left = function Some (Either.Left d) -> d | _ -> assert false in
+  let right = function Some (Either.Right d) -> d | _ -> assert false in
+  match (s1.lowering, s2.lowering) with
+  | Compiled l1, Compiled l2 ->
+      of_lowering ~name ~prover
+        {
+          decode =
+            (fun ~id_bits c ->
+              match untag c with
+              | None -> None
+              | Some (false, body) -> Some (Either.Left (l1.decode ~id_bits body))
+              | Some (true, body) -> Some (Either.Right (l2.decode ~id_bits body)));
+          check =
+            (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+              match mine with
+              | None -> Reject "disjoin: malformed certificate"
+              | Some sel -> (
+                  let other_side = function
+                    | Some d -> Either.is_left d <> Either.is_left sel
+                    | None -> false
+                  in
+                  if slice_exists Option.is_none decs lo hi then
+                    Reject "disjoin: malformed neighbor certificate"
+                  else if slice_exists other_side decs lo hi then
+                    Reject "disjoin: neighbors disagree on the selector"
+                  else
+                    match sel with
+                    | Either.Left mine ->
+                        check_part l1 ~id_bits ~me ~label mine ~ids ~decs ~lo
+                          ~hi left
+                    | Either.Right mine ->
+                        check_part l2 ~id_bits ~me ~label mine ~ids ~decs ~lo
+                          ~hi right));
+        }
 
-let trivial ~name verifier =
-  {
-    name;
-    prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-    verifier;
-    compiled = None;
-  }
+let trivial ~name check =
+  of_lowering ~name
+    ~prover:(fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty))
+    {
+      decode = (fun ~id_bits:_ _ -> ());
+      check =
+        (fun ~id_bits:_ ~me ~label () ~ids ~decs:_ ~lo ~hi ->
+          check ~me ~label ~ids ~lo ~hi);
+    }

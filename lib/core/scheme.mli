@@ -1,14 +1,20 @@
 (** The local certification framework (Section 3.3).
 
-    A scheme is a prover together with a radius-1 verifier:
+    A scheme is a prover together with one radius-1 check:
 
     - the {e prover} sees the whole instance and, on yes-instances,
       produces one certificate (bit string) per vertex;
-    - the {e verifier} runs at each vertex on its {!view} — its own
+    - the {e check} runs at each vertex on its {!view} — its own
       identifier and certificate and the identifiers and certificates
       of its neighbors (radius exactly 1: it does {e not} see edges
       among its neighbors, per Section 2.2 / Appendix A.1) — and
       accepts or rejects.
+
+    The check is always stated as a {!lowering} (decode, then check
+    pre-decoded values); {!verify} is the interpreted verifier derived
+    from it, and the compiled engine ({!Localcert_engine.Vcompile})
+    runs the same check over whole-graph arrays.  There is no second
+    copy of any check to keep in agreement.
 
     A scheme certifies a property when (completeness) on yes-instances
     the prover's certificates make every vertex accept, and (soundness)
@@ -34,7 +40,9 @@ type 'dec lowering = {
       (** Total per-certificate decoding: malformed input is
           represented {e inside} ['dec] (e.g. with an option), never
           raised, so a decoded value can be computed once per distinct
-          certificate and shared by every vertex that sees it. *)
+          certificate and shared by every vertex that sees it.  A
+          check that compares raw bits keeps the raw {!Bitstring.t}
+          inside ['dec]. *)
   check :
     id_bits:int ->
     me:int ->
@@ -50,76 +58,34 @@ type 'dec lowering = {
           [ids.(lo..hi-1)]/[decs.(lo..hi-1)], sorted ascending by
           identifier — for the compiled engine these are whole-graph
           CSR-shaped arrays shared by every vertex (one row per
-          vertex, zero per-view allocation); the interpreted path
-          passes a 0-based pair built from the view. *)
-  flat : 'dec flat option;
-      (** Optional struct-of-arrays plane for the compiled engine;
-          [None] keeps the boxed [decs] layout. *)
+          vertex, zero per-view allocation); {!verify} passes a
+          0-based pair built from the view. *)
 }
-
-and 'dec flat = {
-  width : int;  (** ints per decoded value *)
-  write : 'dec -> int array -> int -> unit;
-      (** [write d plane base] stores [d]'s fields at
-          [plane.(base .. base + width - 1)]. *)
-  check_flat :
-    id_bits:int ->
-    me:int ->
-    label:int ->
-    mine:int array ->
-    mbase:int ->
-    ids:int array ->
-    plane:int array ->
-    lo:int ->
-    hi:int ->
-    verdict;
-      (** [check] over planes instead of boxed values: the vertex's
-          own fields live at [mine.(mbase .. mbase + width - 1)] and
-          slot [i]'s fields at [plane.(i * width ..)], parallel to
-          [ids.(i)].  Must agree with [check] verdict-for-verdict,
-          reason strings included — the interpreted verifier still
-          runs [check], and the engine's differential tests hold the
-          two paths to each other. *)
-}
-(** A scheme verifier split into decode and check stages.  The
-    interpreted verifier and the ahead-of-time compiled engine path
-    ({!Localcert_engine.Vcompile}) both end in the same [check], so
-    their verdicts — reason strings included — agree by construction.
-
-    Why planes exist: decoded records are boxed, and the major heap's
-    size-class free lists place them wherever holes are — at 10⁶+
-    vertices every neighbor dereference in a row walk is then a cache
-    miss on any graph whose adjacency is not id-local.  An int plane
-    is one contiguous unboxed array; the same walk streams it
-    sequentially, which is what holds verify throughput flat from
-    n=16384 to n=10⁶ (DESIGN §5.7). *)
+(** A scheme's radius-1 check, split into decode and check stages. *)
 
 type compiled = Compiled : 'dec lowering -> compiled
-(** A lowering with its decoded representation abstracted away — what
-    a scheme publishes for the engine to compile. *)
+(** A lowering with its decoded representation abstracted away. *)
 
 type t = {
   name : string;
   prover : Instance.t -> Bitstring.t array option;
       (** [None] when the instance is a no-instance (or the prover
           cannot find a witness); [Some certs] indexed by vertex. *)
-  verifier : view -> verdict;
-  compiled : compiled option;
-      (** The verifier's lowering, when the scheme has one.  [None]
-          makes every engine fall back to [verifier]. *)
+  lowering : compiled;  (** the scheme's one check *)
 }
-
-val check_lowered : compiled -> view -> verdict
-(** Run a lowering on one view, decoding from scratch — the
-    interpreted reference semantics of a lowered scheme. *)
 
 val of_lowering :
   name:string ->
   prover:(Instance.t -> Bitstring.t array option) ->
   'dec lowering ->
   t
-(** A scheme whose verifier {e is} its lowering (via
-    {!check_lowered}), guaranteeing interpreted ≡ compiled. *)
+(** A scheme from its prover and its one check — the only way to build
+    a {!t}. *)
+
+val verify : t -> view -> verdict
+(** The interpreted verifier: run the scheme's lowering on one view,
+    decoding every certificate from scratch.  Exceptions from the
+    lowering propagate. *)
 
 type outcome = {
   accepted : bool;
@@ -131,7 +97,7 @@ val view_of : Instance.t -> Bitstring.t array -> int -> view
 (** The radius-1 view of a vertex under a certificate assignment. *)
 
 val run : ?early_exit:bool -> t -> Instance.t -> Bitstring.t array -> outcome
-(** Execute the verifier at every vertex.  With [~early_exit:true] the
+(** Execute {!verify} at every vertex.  With [~early_exit:true] the
     sweep stops at the first rejecting vertex, so [rejections] contains
     exactly one entry on rejection; [accepted] and [max_bits] are
     unaffected.  The default [false] reports every rejecting vertex. *)
@@ -168,13 +134,19 @@ val record_outcome : t -> early_exit:bool -> outcome -> unit
 
 val conjoin : name:string -> t -> t -> t
 (** Certify both properties: certificates are length-prefixed pairs;
-    each vertex runs both verifiers on the respective halves. *)
+    each vertex runs both checks on the respective halves, and a
+    component's rejection is prefixed with its scheme name. *)
 
 val disjoin : name:string -> t -> t -> t
 (** Certify a disjunction: a selector bit (checked equal between
     neighbors, hence global by connectivity) says which scheme's
     certificate follows. *)
 
-val trivial : name:string -> (view -> verdict) -> t
+val trivial :
+  name:string ->
+  (me:int -> label:int -> ids:int array -> lo:int -> hi:int -> verdict) ->
+  t
 (** A scheme with empty certificates (e.g. "max degree ≤ 3" needs none:
-    the view alone decides). *)
+    the view alone decides).  The check sees the vertex's identifier,
+    its label and its neighbors' identifiers [ids.(lo..hi-1)]
+    (ascending); certificate contents are ignored. *)

@@ -26,147 +26,68 @@ let tree_certs (inst : Instance.t) root =
       })
 
 (* ------------------------------------------------------------------ *)
-(* Lowered checkers.  Decoding is total (malformed = None); the check
-   stage runs on pre-decoded certificates and is shared verbatim by
-   the interpreted verifier and the compiled engine path, so the two
-   agree on every verdict by construction.                            *)
+(* Lowered checkers.  Decoding is total: a malformed certificate
+   decodes to a physical sentinel rather than [None], so a decoded
+   slot is one pointer straight to the record — an option would add a
+   box, and a second likely cache miss per neighbor at 10⁶ vertices.
+   The check stage runs on pre-decoded certificates and is shared
+   verbatim by the interpreted verifier and the compiled engine path,
+   so the two agree on every verdict by construction.
 
-(* Check stages take the neighbors as parallel [ids]/[decs] slices
+   Check stages take the neighbors as parallel [ids]/[decs] slices
    ([lo, hi)) — the compiled engine passes whole-graph CSR rows here,
-   so the loops below index shared flat arrays and allocate nothing. *)
+   so the loops below index shared flat arrays and allocate nothing.
 
-(* [proj] extracts the embedded tree certificate from a decoded (and
-   known well-formed) neighbor value. *)
-let check_tree_arr ~me c ~ids ~decs ~lo ~hi ~proj =
-  let nth i = proj decs.(i) in
-  let rec roots_ok i =
-    i >= hi || ((nth i).root_id = c.root_id && roots_ok (i + 1))
-  in
-  if not (roots_ok lo) then Error "root ids disagree"
-  else if c.dist = 0 then
-    if c.root_id <> me then Error "distance 0 but not the claimed root"
-    else if c.parent_id <> me then Error "root must be its own parent"
-    else Ok ()
-  else if c.root_id = me then Error "claimed root has nonzero distance"
+   The sweeps are single-pass: at 10⁶+ vertices each [decs.(i)]
+   dereference is a likely cache miss (decoded records live in vertex
+   order, rows of a non-path graph reference them in random order), so
+   the row is walked once, gathering every sub-check's flag — the
+   parent's distance included — and the verdict is decided afterwards
+   in priority order.  Each sub-check is a forall/exists over the
+   whole row, so gathering commutes with the layered cascade. *)
+
+let malformed = { root_id = -1; dist = -1; parent_id = -1 }
+
+let decode_total ~id_bits b =
+  match decode ~id_bits b with Some c -> c | None -> malformed
+
+let tree_check ~me c ~ids ~decs ~lo ~hi : Scheme.verdict =
+  if c == malformed then Reject "malformed certificate"
   else begin
-    let rec find i =
-      if i >= hi then -1 else if ids.(i) = c.parent_id then i else find (i + 1)
-    in
-    match find lo with
-    | -1 -> Error "parent is not a neighbor"
-    | i ->
-        if (nth i).dist = c.dist - 1 then Ok ()
-        else Error "parent distance is not mine minus one"
-  end
-
-let opt_cert = function Some c -> c | None -> assert false
-
-let check_tree_view ~me c ~neighbors =
-  let ids = Array.of_list (List.map fst neighbors) in
-  let decs = Array.of_list (List.map snd neighbors) in
-  check_tree_arr ~me c ~ids ~decs ~lo:0 ~hi:(Array.length ids) ~proj:Fun.id
-
-(* The compiled sweeps below are single-pass: at 10⁶+ vertices each
-   [decs.(i)] dereference is a likely cache miss (decoded records live
-   in vertex order, rows of a non-path graph reference them in random
-   order), so the row is walked once, gathering every sub-check's
-   flag, and the verdict is decided afterwards in the multi-pass
-   checkers' priority order.  Each sub-check is a forall/exists over
-   the whole row, so gathering commutes — verdicts (error strings
-   included) are identical to the layered versions. *)
-
-let tree_check ~me mine ~ids ~decs ~lo ~hi : Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some c ->
-      let malformed = ref false in
-      let roots_ok = ref true in
-      let parent_idx = ref (-1) in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some nc ->
-            if nc.root_id <> c.root_id then roots_ok := false;
-            if ids.(!i) = c.parent_id then parent_idx := !i);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if c.dist = 0 then
-        if c.root_id <> me then Reject "distance 0 but not the claimed root"
-        else if c.parent_id <> me then Reject "root must be its own parent"
-        else Accept
-      else if c.root_id = me then Reject "claimed root has nonzero distance"
-      else if !parent_idx < 0 then Reject "parent is not a neighbor"
-      else if (opt_cert decs.(!parent_idx)).dist = c.dist - 1 then Accept
-      else Reject "parent distance is not mine minus one"
-
-(* Struct-of-arrays planes for the compiled engine (Scheme.flat): a
-   decoded [cert option] flattens to [valid; root_id; dist; parent_id]
-   and the flat checks below repeat the fused sweeps on plane slots
-   instead of boxed records — same gathering, same verdict cascade,
-   same reason strings. *)
-
-let tree_width = 4
-
-let tree_write d plane base =
-  match d with
-  | None -> plane.(base) <- 0
-  | Some c ->
-      plane.(base) <- 1;
-      plane.(base + 1) <- c.root_id;
-      plane.(base + 2) <- c.dist;
-      plane.(base + 3) <- c.parent_id
-
-let tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi : Scheme.verdict =
-  if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
-  else begin
-    let m_root = Array.unsafe_get mine (mbase + 1) in
-    let m_dist = Array.unsafe_get mine (mbase + 2) in
-    let m_parent = Array.unsafe_get mine (mbase + 3) in
-    let malformed = ref false in
+    let bad_nbr = ref false in
     let roots_ok = ref true in
-    let parent_dist = ref min_int in
+    let has_parent = ref false and parent_dist = ref 0 in
     let i = ref lo in
-    while (not !malformed) && !i < hi do
-      let b = !i * tree_width in
-      if Array.unsafe_get plane b = 0 then malformed := true
+    while (not !bad_nbr) && !i < hi do
+      let nc = decs.(!i) in
+      if nc == malformed then bad_nbr := true
       else begin
-        if Array.unsafe_get plane (b + 1) <> m_root then roots_ok := false;
-        if Array.unsafe_get ids !i = m_parent then
-          parent_dist := Array.unsafe_get plane (b + 2)
+        if nc.root_id <> c.root_id then roots_ok := false;
+        if ids.(!i) = c.parent_id then begin
+          has_parent := true;
+          parent_dist := nc.dist
+        end
       end;
       incr i
     done;
-    if !malformed then Reject "malformed neighbor certificate"
+    if !bad_nbr then Reject "malformed neighbor certificate"
     else if not !roots_ok then Reject "root ids disagree"
-    else if m_dist = 0 then
-      if m_root <> me then Reject "distance 0 but not the claimed root"
-      else if m_parent <> me then Reject "root must be its own parent"
+    else if c.dist = 0 then
+      if c.root_id <> me then Reject "distance 0 but not the claimed root"
+      else if c.parent_id <> me then Reject "root must be its own parent"
       else Accept
-    else if m_root = me then Reject "claimed root has nonzero distance"
-    else if !parent_dist = min_int then Reject "parent is not a neighbor"
-    else if !parent_dist = m_dist - 1 then Accept
+    else if c.root_id = me then Reject "claimed root has nonzero distance"
+    else if not !has_parent then Reject "parent is not a neighbor"
+    else if !parent_dist = c.dist - 1 then Accept
     else Reject "parent distance is not mine minus one"
   end
 
-let tree_flat : cert option Scheme.flat =
+let tree_lowering : cert Scheme.lowering =
   {
-    width = tree_width;
-    write = tree_write;
-    check_flat =
-      (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-        tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-  }
-
-let tree_lowering : cert option Scheme.lowering =
-  {
-    decode = (fun ~id_bits c -> decode ~id_bits c);
+    decode = decode_total;
     check =
       (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
         tree_check ~me mine ~ids ~decs ~lo ~hi);
-    flat = Some tree_flat;
   }
 
 let scheme ?(root = 0) () =
@@ -180,79 +101,42 @@ let scheme ?(root = 0) () =
       else None)
     tree_lowering
 
-let acyclicity_check ~me mine ~ids ~decs ~lo ~hi : Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some c ->
-      let malformed = ref false in
-      let roots_ok = ref true in
-      let parent_idx = ref (-1) in
-      (* every edge must be a tree edge: each neighbor is my parent
-         (dist-1, and I claim it) or my child (dist+1, and it claims
-         me) *)
-      let all_tree = ref true in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some nc ->
-            if nc.root_id <> c.root_id then roots_ok := false;
-            if ids.(!i) = c.parent_id then parent_idx := !i;
-            let is_parent = nc.dist = c.dist - 1 && c.parent_id = ids.(!i) in
-            let is_child = nc.dist = c.dist + 1 && nc.parent_id = me in
-            if not (is_parent || is_child) then all_tree := false);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if c.dist = 0 then
-        if c.root_id <> me then Reject "distance 0 but not the claimed root"
-        else if c.parent_id <> me then Reject "root must be its own parent"
-        else if !all_tree then Accept
-        else Reject "non-tree edge detected"
-      else if c.root_id = me then Reject "claimed root has nonzero distance"
-      else if !parent_idx < 0 then Reject "parent is not a neighbor"
-      else if (opt_cert decs.(!parent_idx)).dist <> c.dist - 1 then
-        Reject "parent distance is not mine minus one"
-      else if !all_tree then Accept
-      else Reject "non-tree edge detected"
-
-let acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi :
-    Scheme.verdict =
-  if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
+let acyclicity_check ~me c ~ids ~decs ~lo ~hi : Scheme.verdict =
+  if c == malformed then Reject "malformed certificate"
   else begin
-    let m_root = Array.unsafe_get mine (mbase + 1) in
-    let m_dist = Array.unsafe_get mine (mbase + 2) in
-    let m_parent = Array.unsafe_get mine (mbase + 3) in
-    let malformed = ref false in
+    let bad_nbr = ref false in
     let roots_ok = ref true in
-    let parent_dist = ref min_int in
+    let has_parent = ref false and parent_dist = ref 0 in
+    (* every edge must be a tree edge: each neighbor is my parent
+       (dist-1, and I claim it) or my child (dist+1, and it claims
+       me) *)
     let all_tree = ref true in
     let i = ref lo in
-    while (not !malformed) && !i < hi do
-      let b = !i * tree_width in
-      if Array.unsafe_get plane b = 0 then malformed := true
+    while (not !bad_nbr) && !i < hi do
+      let nc = decs.(!i) in
+      if nc == malformed then bad_nbr := true
       else begin
-        let nd = Array.unsafe_get plane (b + 2) in
-        let nid = Array.unsafe_get ids !i in
-        if Array.unsafe_get plane (b + 1) <> m_root then roots_ok := false;
-        if nid = m_parent then parent_dist := nd;
-        let is_parent = nd = m_dist - 1 && m_parent = nid in
-        let is_child = nd = m_dist + 1 && Array.unsafe_get plane (b + 3) = me in
+        if nc.root_id <> c.root_id then roots_ok := false;
+        if ids.(!i) = c.parent_id then begin
+          has_parent := true;
+          parent_dist := nc.dist
+        end;
+        let is_parent = nc.dist = c.dist - 1 && c.parent_id = ids.(!i) in
+        let is_child = nc.dist = c.dist + 1 && nc.parent_id = me in
         if not (is_parent || is_child) then all_tree := false
       end;
       incr i
     done;
-    if !malformed then Reject "malformed neighbor certificate"
+    if !bad_nbr then Reject "malformed neighbor certificate"
     else if not !roots_ok then Reject "root ids disagree"
-    else if m_dist = 0 then
-      if m_root <> me then Reject "distance 0 but not the claimed root"
-      else if m_parent <> me then Reject "root must be its own parent"
+    else if c.dist = 0 then
+      if c.root_id <> me then Reject "distance 0 but not the claimed root"
+      else if c.parent_id <> me then Reject "root must be its own parent"
       else if !all_tree then Accept
       else Reject "non-tree edge detected"
-    else if m_root = me then Reject "claimed root has nonzero distance"
-    else if !parent_dist = min_int then Reject "parent is not a neighbor"
-    else if !parent_dist <> m_dist - 1 then
+    else if c.root_id = me then Reject "claimed root has nonzero distance"
+    else if not !has_parent then Reject "parent is not a neighbor"
+    else if !parent_dist <> c.dist - 1 then
       Reject "parent distance is not mine minus one"
     else if !all_tree then Accept
     else Reject "non-tree edge detected"
@@ -266,19 +150,10 @@ let acyclicity =
           (Array.map (encode ~id_bits:inst.Instance.id_bits) (tree_certs inst 0))
       else None)
     {
-      Scheme.decode = (fun ~id_bits c -> decode ~id_bits c);
+      Scheme.decode = decode_total;
       check =
         (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
           acyclicity_check ~me mine ~ids ~decs ~lo ~hi);
-      flat =
-        Some
-          {
-            Scheme.width = tree_width;
-            write = tree_write;
-            check_flat =
-              (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-                acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-          };
     }
 
 (* Vertex count: spanning-tree certificate extended with the subtree
@@ -325,145 +200,72 @@ let count_certs (inst : Instance.t) root =
         total = Instance.n inst;
       })
 
+let count_malformed =
+  { c_root_id = -1; c_dist = -1; c_parent_id = -1; size = -1; total = -1 }
+
+let decode_count_total ~id_bits b =
+  match decode_count ~id_bits b with Some c -> c | None -> count_malformed
+
 let count_check ~total_pred ~local ~root_check ~me mine ~ids ~decs ~lo ~hi :
     Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some mine ->
-      let n = hi - lo in
-      let malformed = ref false in
-      let roots_ok = ref true and totals_ok = ref true in
-      let parent_idx = ref (-1) in
-      let children_sum = ref 0 in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some c ->
-            if c.c_root_id <> mine.c_root_id then roots_ok := false;
-            if c.total <> mine.total then totals_ok := false;
-            if ids.(!i) = mine.c_parent_id then parent_idx := !i;
-            if c.c_parent_id = me && c.c_dist = mine.c_dist + 1 then
-              children_sum := !children_sum + c.size);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if
-        (* the spanning-tree core, on the flat fields *)
-        mine.c_dist = 0 && mine.c_root_id <> me
-      then Reject "distance 0 but not the claimed root"
-      else if mine.c_dist = 0 && mine.c_parent_id <> me then
-        Reject "root must be its own parent"
-      else if mine.c_dist > 0 && mine.c_root_id = me then
-        Reject "claimed root has nonzero distance"
-      else if mine.c_dist > 0 && !parent_idx < 0 then
-        Reject "parent is not a neighbor"
-      else if
-        mine.c_dist > 0
-        && (match decs.(!parent_idx) with
-           | Some p -> p.c_dist <> mine.c_dist - 1
-           | None -> assert false)
-      then Reject "parent distance is not mine minus one"
-      else if not !totals_ok then Reject "totals disagree"
-      else if mine.size <> !children_sum + 1 then
-        Reject "subtree size does not match children"
-      else if mine.c_dist = 0 && mine.size <> mine.total then
-        Reject "root size differs from claimed total"
-      else if mine.c_dist = 0 && not (total_pred mine.total) then
-        Reject "total fails the predicate"
-      else if not (local ~total:mine.total ~me ~degree:n) then
-        Reject "local degree check failed"
-      else if mine.c_dist = 0 && not (root_check ~total:mine.total ~degree:n)
-      then Reject "root check failed"
-      else Accept
-
-(* Flat plane for count certificates:
-   [valid; root_id; dist; parent_id; size; total]. *)
-let count_width = 6
-
-let count_write d plane base =
-  match d with
-  | None -> plane.(base) <- 0
-  | Some c ->
-      plane.(base) <- 1;
-      plane.(base + 1) <- c.c_root_id;
-      plane.(base + 2) <- c.c_dist;
-      plane.(base + 3) <- c.c_parent_id;
-      plane.(base + 4) <- c.size;
-      plane.(base + 5) <- c.total
-
-let count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase ~ids
-    ~plane ~lo ~hi : Scheme.verdict =
-  if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
+  if mine == count_malformed then Reject "malformed certificate"
   else begin
-    let m_root = Array.unsafe_get mine (mbase + 1) in
-    let m_dist = Array.unsafe_get mine (mbase + 2) in
-    let m_parent = Array.unsafe_get mine (mbase + 3) in
-    let m_size = Array.unsafe_get mine (mbase + 4) in
-    let m_total = Array.unsafe_get mine (mbase + 5) in
     let n = hi - lo in
-    let malformed = ref false in
+    let bad_nbr = ref false in
     let roots_ok = ref true and totals_ok = ref true in
-    let parent_dist = ref min_int in
+    let has_parent = ref false and parent_dist = ref 0 in
     let children_sum = ref 0 in
     let i = ref lo in
-    while (not !malformed) && !i < hi do
-      let b = !i * count_width in
-      if Array.unsafe_get plane b = 0 then malformed := true
+    while (not !bad_nbr) && !i < hi do
+      let c = decs.(!i) in
+      if c == count_malformed then bad_nbr := true
       else begin
-        let nd = Array.unsafe_get plane (b + 2) in
-        if Array.unsafe_get plane (b + 1) <> m_root then roots_ok := false;
-        if Array.unsafe_get plane (b + 5) <> m_total then totals_ok := false;
-        if Array.unsafe_get ids !i = m_parent then parent_dist := nd;
-        if Array.unsafe_get plane (b + 3) = me && nd = m_dist + 1 then
-          children_sum := !children_sum + Array.unsafe_get plane (b + 4)
+        if c.c_root_id <> mine.c_root_id then roots_ok := false;
+        if c.total <> mine.total then totals_ok := false;
+        if ids.(!i) = mine.c_parent_id then begin
+          has_parent := true;
+          parent_dist := c.c_dist
+        end;
+        if c.c_parent_id = me && c.c_dist = mine.c_dist + 1 then
+          children_sum := !children_sum + c.size
       end;
       incr i
     done;
-    if !malformed then Reject "malformed neighbor certificate"
+    if !bad_nbr then Reject "malformed neighbor certificate"
     else if not !roots_ok then Reject "root ids disagree"
-    else if m_dist = 0 && m_root <> me then
-      Reject "distance 0 but not the claimed root"
-    else if m_dist = 0 && m_parent <> me then
+    else if
+      (* the spanning-tree core, on the flat fields *)
+      mine.c_dist = 0 && mine.c_root_id <> me
+    then Reject "distance 0 but not the claimed root"
+    else if mine.c_dist = 0 && mine.c_parent_id <> me then
       Reject "root must be its own parent"
-    else if m_dist > 0 && m_root = me then
+    else if mine.c_dist > 0 && mine.c_root_id = me then
       Reject "claimed root has nonzero distance"
-    else if m_dist > 0 && !parent_dist = min_int then
+    else if mine.c_dist > 0 && not !has_parent then
       Reject "parent is not a neighbor"
-    else if m_dist > 0 && !parent_dist <> m_dist - 1 then
+    else if mine.c_dist > 0 && !parent_dist <> mine.c_dist - 1 then
       Reject "parent distance is not mine minus one"
     else if not !totals_ok then Reject "totals disagree"
-    else if m_size <> !children_sum + 1 then
+    else if mine.size <> !children_sum + 1 then
       Reject "subtree size does not match children"
-    else if m_dist = 0 && m_size <> m_total then
+    else if mine.c_dist = 0 && mine.size <> mine.total then
       Reject "root size differs from claimed total"
-    else if m_dist = 0 && not (total_pred m_total) then
+    else if mine.c_dist = 0 && not (total_pred mine.total) then
       Reject "total fails the predicate"
-    else if not (local ~total:m_total ~me ~degree:n) then
+    else if not (local ~total:mine.total ~me ~degree:n) then
       Reject "local degree check failed"
-    else if m_dist = 0 && not (root_check ~total:m_total ~degree:n) then
-      Reject "root check failed"
+    else if mine.c_dist = 0 && not (root_check ~total:mine.total ~degree:n)
+    then Reject "root check failed"
     else Accept
   end
 
 let count_lowering ~total_pred ~local ~root_check :
-    count_cert option Scheme.lowering =
+    count_cert Scheme.lowering =
   {
-    decode = (fun ~id_bits c -> decode_count ~id_bits c);
+    decode = decode_count_total;
     check =
       (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
         count_check ~total_pred ~local ~root_check ~me mine ~ids ~decs ~lo ~hi);
-    flat =
-      Some
-        {
-          Scheme.width = count_width;
-          write = count_write;
-          check_flat =
-            (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-              count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase
-                ~ids ~plane ~lo ~hi);
-        };
   }
 
 let always_local ~total:_ ~me:_ ~degree:_ = true

@@ -52,7 +52,21 @@ val counted :
 
 (** {1 Verification cores (shared with richer schemes)} *)
 
-val check_tree_view :
-  me:int -> cert -> neighbors:(int * cert) list -> (unit, string) result
-(** The spanning-tree local checks at one vertex, reusable by any
-    scheme that embeds a spanning tree. *)
+val malformed : cert
+(** The decoded form of a malformed certificate, recognized by
+    physical equality: {!tree_check} takes plain records, so a decoded
+    neighbor slot is one pointer rather than an option box around
+    one. *)
+
+val tree_check :
+  me:int ->
+  cert ->
+  ids:int array ->
+  decs:cert array ->
+  lo:int ->
+  hi:int ->
+  Scheme.verdict
+(** The spanning-tree check at one vertex over pre-decoded certificates
+    ({!malformed} when malformed) — its own and its neighbors' in the
+    slice [ids.(lo..hi-1)]/[decs.(lo..hi-1)] — reusable by any scheme
+    that embeds a spanning tree. *)

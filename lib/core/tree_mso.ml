@@ -164,7 +164,7 @@ let lowering ~state_bits (auto : TA.t) : cert option Scheme.lowering =
               else Accept
             end
   in
-  { decode = (fun ~id_bits:_ c -> decode ~state_bits c); check; flat = None }
+  { decode = (fun ~id_bits:_ c -> decode ~state_bits c); check }
 
 let make ?state_bits auto =
   let sb = match state_bits with Some b -> b | None -> default_state_bits auto in
@@ -227,12 +227,13 @@ let make_table table =
             (Array.init (Instance.n inst) (fun v ->
                  encode_full (dist.(v) mod 3) states.(v)))
   in
-  let verifier (view : Scheme.view) : Scheme.verdict =
-    match decode_full view.cert with
+  let check ~id_bits:_ ~me:_ ~label mine ~ids:_ ~decs ~lo ~hi :
+      Scheme.verdict =
+    match mine with
     | None -> Reject "malformed certificate or wrong automaton description"
     | Some (dist3, state) -> (
-        let nbrs = List.map (fun (_, c) -> decode_full c) view.nbrs in
-        if List.exists (fun c -> c = None) nbrs then
+        let nbrs = List.init (hi - lo) (fun i -> decs.(lo + i)) in
+        if List.exists Option.is_none nbrs then
           Reject "malformed neighbor certificate"
         else
           let nbrs = List.map Option.get nbrs in
@@ -243,7 +244,7 @@ let make_table table =
           then Reject "neighbor at my own mod-3 distance"
           else
             let expected =
-              auto.TA.delta ~label:view.label
+              auto.TA.delta ~label
                 ~counts:(TA.counts_of_list (List.map snd children))
             in
             match parents with
@@ -258,12 +259,10 @@ let make_table table =
                   Reject "root state not accepting"
                 else Accept)
   in
-  {
-    Scheme.name = "tree-mso-table[" ^ table.U.name ^ "]";
-    prover;
-    verifier;
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:("tree-mso-table[" ^ table.U.name ^ "]")
+    ~prover
+    { decode = (fun ~id_bits:_ c -> decode_full c); check }
 
 let with_tree_promise_check scheme =
   Scheme.conjoin

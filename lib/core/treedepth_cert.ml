@@ -21,7 +21,6 @@ let lowering ~t : unit Anclist.entry array option Scheme.lowering =
         with
         | Ok _ -> Scheme.Accept
         | Error e -> Scheme.Reject e);
-    flat = None;
   }
 
 let make ?(find_model = default_find_model) ~t () =

@@ -1,18 +1,18 @@
 (** Ahead-of-time compilation of lowered verifiers.
 
-    A {!Scheme.lowering} splits a radius-1 verifier into a total
-    per-certificate decode stage and a check stage over pre-decoded
-    values.  The interpreted verifier re-decodes every certificate at
-    every vertex that sees it; this module decodes each {e distinct}
+    Every scheme states its radius-1 check as a {!Scheme.lowering}: a
+    total per-certificate decode stage and a check stage over
+    pre-decoded values.  The interpreted verifier ({!Scheme.verify})
+    re-decodes every certificate at every vertex that sees it; this
+    module decodes each {e distinct}
     certificate once and drives the check stage through flat
     precomputed arrays, which removes the per-vertex allocation churn
     that serializes parallel sweeps on the shared minor heap
     (DESIGN §5.5).
 
-    Verdict equality with the interpreted path is structural: a lowered
-    scheme's [verifier] {e is} [Scheme.check_lowered] over the same
-    lowering the compiler uses, so both paths end in the same check
-    function — reason strings included. *)
+    Verdict equality with the interpreted path is structural:
+    {!Scheme.verify} runs the same lowering the compiler uses, so both
+    paths end in the same check function — reason strings included. *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable compilation (default: enabled).  With it
@@ -27,9 +27,8 @@ val compile :
     sweep: certificates are decoded once (per distinct bitstring — they
     are interned, so broadcast-heavy schemes decode a handful), and
     per-vertex neighbor views are laid out as id-ascending flat arrays
-    mirroring {!Scheme.view_of}.  [None] when the scheme has no
-    lowering or compilation is disabled; then callers fall back to the
-    interpreted verifier.
+    mirroring {!Scheme.view_of}.  [None] only when compilation is
+    disabled; then callers run {!Scheme.verify}.
 
     Repeated sweeps reuse the previous kernel: a single-slot cache
     keyed by physical identity of [scheme] and [inst] plus per-element
@@ -41,21 +40,20 @@ val compile :
     certificate, instance or scheme recompiles, so behavior never
     differs from a fresh compile.
 
-    Containment: lowerings are total by contract, but if a custom one
-    still raises, a non-fatal exception from decode or check makes the
-    affected vertex fall back to [scheme.verifier] on its interpreted
-    view (counted in [engine.compiled_fallbacks]); fatal exceptions —
-    {!Localcert_util.Fatal.is_fatal} — propagate.  The kernel itself is
-    safe to call concurrently from several domains: compilation
-    populated every shared structure before returning.
+    Exceptions: an exception from the lowering's decode propagates
+    from [compile], one from its check propagates from the kernel —
+    exactly as from {!Scheme.verify}, which runs the same functions.
+    The kernel itself is safe to call concurrently from several
+    domains: compilation populated every shared structure before
+    returning.
 
     Compilation time is recorded as a [vcompile.<scheme>] span. *)
 
 val view_checker : Scheme.t -> (Scheme.view -> Scheme.verdict) option
-(** A compiled drop-in for [scheme.verifier] on runtime inbox views,
+(** A compiled drop-in for {!Scheme.verify} on runtime inbox views,
     where certificates arrive as per-delivery wire copies and no
     instance-wide array exists to compile against.  Decoded values are
     cached per domain (content-keyed, bounded), so repeated rounds and
     broadcast certificates decode once per domain rather than once per
-    vertex per round.  Same fallback and containment behavior as
-    {!compile}. *)
+    vertex per round.  [None] only when compilation is disabled;
+    exceptions from the lowering propagate, as from {!compile}. *)

@@ -22,9 +22,8 @@ let chunk_factor = 8
    exceptions (OOM, stack overflow, tripped assertions) escape: those
    mean the process is broken, not that a fault was detected.  [check]
    is either the scheme's interpreted verifier or its compiled view
-   checker (Vcompile.view_checker) — the latter already falls back to
-   the interpreted verifier on a non-fatal failure of its own, so this
-   outer containment produces the same rejection text either way. *)
+   checker (Vcompile.view_checker); both run the same lowering, so a
+   raising check produces the same rejection text either way. *)
 let run_verifier check view =
   match check view with
   | verdict -> verdict
@@ -190,12 +189,12 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
       Span.with_ "runtime.execute" @@ fun () ->
       (* Inbox views carry per-delivery wire copies, so the per-domain
          decode-cache checker is the applicable compiled form; [None]
-         (no lowering, or compilation off) keeps the interpreted
-         verifier.  Verdicts are identical either way. *)
+         (compilation off) keeps the interpreted verifier.  Verdicts
+         are identical either way. *)
       let check =
         match if compiled then Vcompile.view_checker scheme else None with
         | Some fast -> fast
-        | None -> scheme.Scheme.verifier
+        | None -> Scheme.verify scheme
       in
       let nodes = Node.boot inst certs in
       let n = Array.length nodes in

@@ -383,8 +383,22 @@ let resolve_addr ~host ~port =
       | Some addr -> Unix.ADDR_INET (addr, port)
       | None -> failwith (Printf.sprintf "cannot resolve host %S" host))
 
+(* The IO loop multiplexes with select(2), which cannot watch a
+   descriptor >= FD_SETSIZE (1024): [Unix.select] raises EINVAL on the
+   first one, killing the loop without a drain.  Every connection holds
+   one descriptor on top of the process's own — the std streams, the
+   listen socket, the trace and metrics files — so connections are
+   capped below FD_SETSIZE with headroom for those. *)
+let max_connections_limit = 1024 - 16
+
 let run ?(stop = Atomic.make false) ?(install_signals = true) ?ready config =
   if config.workers < 1 then invalid_arg "Server.run: workers < 1";
+  if config.max_connections > max_connections_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Server.run: max_connections %d exceeds %d (select(2) watches \
+          descriptors below 1024 only)"
+         config.max_connections max_connections_limit);
   (* A client that disconnects with responses in flight must surface
      as EPIPE in [send], not kill the process. *)
   Shutdown.ignore_sigpipe ();

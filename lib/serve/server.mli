@@ -35,6 +35,12 @@ val resolve_addr : host:string -> port:int -> Unix.sockaddr
     resolve.  Shared by the server's bind and the load generator's
     connects. *)
 
+val max_connections_limit : int
+(** The largest accepted [max_connections]: the IO loop's select(2)
+    watches descriptors below FD_SETSIZE (1024) only, less headroom for
+    the process's own descriptors (std streams, listen socket, trace
+    and metrics files). *)
+
 val run :
   ?stop:bool Atomic.t ->
   ?install_signals:bool ->
@@ -50,4 +56,7 @@ val run :
     that stop the server through the atomic.  [ready] is called with
     the bound port before the first accept — the hook the CLI uses to
     print the port and the tests use to connect to an ephemeral one.
-    Blocks the calling domain for the server's lifetime. *)
+    Blocks the calling domain for the server's lifetime.
+
+    Raises [Invalid_argument] before binding when [workers < 1] or
+    [max_connections > max_connections_limit]. *)

@@ -41,17 +41,17 @@ let instance_of rng =
    differentials cases where foolings exist and must be found by both
    sides. *)
 let length_scheme d =
-  {
-    Scheme.name = Printf.sprintf "len>=%d" d;
-    prover =
-      (fun inst ->
-        Some (Array.make (Instance.n inst) (Rng.bits (Rng.make d) d)));
-    verifier =
-      (fun view ->
-        if Bitstring.length view.Scheme.cert >= d then Scheme.Accept
-        else Scheme.Reject "certificate too short");
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:(Printf.sprintf "len>=%d" d)
+    ~prover:(fun inst ->
+      Some (Array.make (Instance.n inst) (Rng.bits (Rng.make d) d)))
+    {
+      Scheme.decode = (fun ~id_bits:_ c -> Bitstring.length c);
+      check =
+        (fun ~id_bits:_ ~me:_ ~label:_ len ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+          if len >= d then Scheme.Accept
+          else Scheme.Reject "certificate too short");
+    }
 
 let even_count =
   Spanning_tree.vertex_count ~expected:(fun n -> n mod 2 = 0) "even"
@@ -301,52 +301,64 @@ let attack_par_sound_scheme () =
 (* Compiled-kernel crash containment                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A scheme whose published lowering misbehaves at one vertex while its
-   interpreted verifier is fine.  Lowerings are total by contract, so
-   this can only happen through a bug — the engine's containment rule
-   (lib/util/fatal.ml) still applies: a non-fatal exception from the
-   kernel falls back to the interpreted verifier for that vertex, a
-   fatal one (here [Assert_failure]) propagates, because it means the
-   process is broken, not that a fault was detected. *)
+(* A scheme whose one check misbehaves at one vertex.  Lowerings are
+   total by contract, so this can only happen through a bug.  Every
+   sweep runs the same check, so a non-fatal exception surfaces the
+   same way on every path: it propagates from [Engine.run_par]
+   (compiled or not) and [Scheme.run], and [Runtime.execute] — whose
+   containment turns scheme-level failures on wire data into
+   rejections — reports the same text compiled or not.  A fatal one
+   (here [Assert_failure]) propagates, because it means the process is
+   broken, not that a fault was detected (lib/util/fatal.ml). *)
 let booby_trapped ~target raise_fatal =
-  {
-    Scheme.name = "booby-trapped";
-    prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-    verifier = (fun _ -> Scheme.Accept);
-    compiled =
-      Some
-        (Scheme.Compiled
-           {
-             Scheme.decode = (fun ~id_bits:_ _ -> ());
-             check =
-               (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
-                 if me = target then
-                   if raise_fatal then assert false
-                   else failwith "kernel boom"
-                 else Scheme.Accept);
-             flat = None;
-           });
-  }
+  Scheme.of_lowering ~name:"booby-trapped"
+    ~prover:(fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty))
+    {
+      Scheme.decode = (fun ~id_bits:_ _ -> ());
+      check =
+        (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+          if me = target then
+            if raise_fatal then assert false else failwith "kernel boom"
+          else Scheme.Accept);
+    }
 
-let compiled_kernel_crash_containment () =
+let non_fatal_check_failure_agrees () =
   let n = 400 in
   let inst = Instance.make (Gen.random_tree (Rng.make 9) n) in
   (* ids are v+1 under Instance.make; trap a mid-chunk vertex *)
-  let scheme = booby_trapped ~target:(n / 2) false in
+  let target = n / 2 in
+  let scheme = booby_trapped ~target false in
   let certs = Option.get (scheme.Scheme.prover inst) in
+  let failure f =
+    match f () with
+    | (_ : Scheme.outcome) -> None
+    | exception Failure m -> Some m
+  in
+  let boom = Some "kernel boom" in
   List.iter
     (fun pool ->
-      let out = Engine.run_par ~pool scheme inst certs in
-      check "non-fatal kernel crash contained (accepts via fallback)" true
-        (out.Scheme.accepted && out.Scheme.rejections = []))
+      check "run_par raises the check's Failure" true
+        (failure (fun () -> Engine.run_par ~pool scheme inst certs) = boom))
     [ pool1; pool4; pool8 ];
-  (* the fallback is visible in telemetry *)
-  Metrics.with_enabled true (fun () ->
-      Metrics.reset ();
-      ignore (Engine.run_par ~pool:pool4 scheme inst certs);
-      check "fallback counted" true
-        (Metrics.value (Metrics.counter "engine.compiled_fallbacks") >= 1);
-      Metrics.reset ())
+  let prev = Vcompile.is_enabled () in
+  Vcompile.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Vcompile.set_enabled prev)
+    (fun () ->
+      check "interpreted run_par raises the same Failure" true
+        (failure (fun () -> Engine.run_par ~pool:pool4 scheme inst certs)
+        = boom));
+  check "Scheme.run raises the same Failure" true
+    (failure (fun () -> Scheme.run scheme inst certs) = boom);
+  let rejections compiled =
+    (Runtime.execute ~pool:pool4 ~compiled scheme inst certs).Runtime.outcome
+      .Scheme.rejections
+  in
+  let expected = [ (target - 1, "verifier raised: Failure(\"kernel boom\")") ] in
+  check "Runtime.execute ~compiled:true rejects with the raise" true
+    (rejections true = expected);
+  check "Runtime.execute ~compiled:false rejects with the same text" true
+    (rejections false = expected)
 
 let compiled_kernel_fatal_propagates () =
   let n = 400 in
@@ -379,8 +391,8 @@ let suite =
       ] );
     ( "engine:containment",
       [
-        Alcotest.test_case "non-fatal compiled-kernel crash contained" `Quick
-          compiled_kernel_crash_containment;
+        Alcotest.test_case "non-fatal check failure agrees across paths"
+          `Quick non_fatal_check_failure_agrees;
         Alcotest.test_case "fatal compiled-kernel crash propagates" `Quick
           compiled_kernel_fatal_propagates;
       ] );

@@ -148,12 +148,8 @@ let test_all_neighbors_crashed () =
 (* A verifier that raises must be folded into a rejection, not escape. *)
 let test_raising_verifier_contained () =
   let raising =
-    {
-      Scheme.name = "raises";
-      prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-      verifier = (fun _ -> failwith "boom");
-      compiled = None;
-    }
+    Scheme.trivial ~name:"raises" (fun ~me:_ ~label:_ ~ids:_ ~lo:_ ~hi:_ ->
+        failwith "boom")
   in
   let inst = Instance.make (Gen.path 5) in
   let certs = Option.get (raising.Scheme.prover inst) in
@@ -315,10 +311,10 @@ let test_near_miss_on_no_instance () =
 let test_near_miss_absent_when_first_trial_wins () =
   let accept_all =
     {
-      Scheme.name = "accept-all";
-      prover = (fun _ -> None);
-      verifier = (fun _ -> Scheme.Accept);
-      compiled = None;
+      (Scheme.trivial ~name:"accept-all"
+         (fun ~me:_ ~label:_ ~ids:_ ~lo:_ ~hi:_ -> Scheme.Accept))
+      with
+      Scheme.prover = (fun _ -> None);
     }
   in
   let inst = Instance.make (Gen.path 4) in

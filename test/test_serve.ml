@@ -550,6 +550,32 @@ let handlers_resource_bounds () =
 (* ------------------------------------------------------------------ *)
 (* Host resolution                                                     *)
 
+(* select(2) cannot watch descriptors >= 1024, so a connection cap
+   past the limit must be refused up front — before binding, so no
+   socket is opened and [ready] never fires.  [stop] is preset so a
+   server that wrongly starts drains at once instead of hanging. *)
+let max_connections_refused () =
+  let bound = ref false in
+  let refused max_connections =
+    match
+      Server.run ~stop:(Atomic.make true) ~install_signals:false
+        ~ready:(fun _ -> bound := true)
+        { Server.default_config with Server.max_connections }
+    with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "5000 refused" true (refused 5000);
+  Alcotest.(check bool)
+    "limit + 1 refused" true
+    (refused (Server.max_connections_limit + 1));
+  Alcotest.(check bool) "refused before binding" false !bound;
+  Alcotest.(check bool)
+    "limit leaves headroom below FD_SETSIZE" true
+    (Server.max_connections_limit < 1024
+    && Server.default_config.Server.max_connections
+       <= Server.max_connections_limit)
+
 let resolve_hosts () =
   (match Server.resolve_addr ~host:"127.0.0.1" ~port:19523 with
   | Unix.ADDR_INET (a, 19523) ->
@@ -754,6 +780,11 @@ let suite =
       ] );
     ( "serve-resolve",
       [ Alcotest.test_case "numeric, named and bogus hosts" `Quick resolve_hosts ] );
+    ( "serve-config",
+      [
+        Alcotest.test_case "max_connections past select(2) refused" `Quick
+          max_connections_refused;
+      ] );
     ( "serve-bench-schema",
       [
         Alcotest.test_case "render/parse fixpoint" `Quick

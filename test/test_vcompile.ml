@@ -1,8 +1,9 @@
 (* Differential tests for the ahead-of-time verifier compiler.
 
    The compiled path's contract is per-vertex verdict equality with the
-   interpreted verifier — reason strings included — for every
-   registered scheme, over arbitrary instances and certificate
+   interpreted verifier — reason strings included — for every scheme
+   (the registered ones, plus the constructors and combinators the
+   registry does not pin), over arbitrary instances and certificate
    assignments (honest, corrupted and random).  That equality is
    structural in the implementation (both paths end in the same lowered
    check function), and these tests pin it observationally: against
@@ -23,8 +24,48 @@ let seed_arbitrary = QCheck.(int_bound 1_000_000)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let registry = Array.of_list Registry.all
-let entry_of rng = registry.(Rng.int rng (Array.length registry))
+let family name = (Option.get (Registry.find name)).Registry.instance
+let general = family "spanning"
+
+(* MIS labellings, half of them broken at one vertex *)
+let labeled rng =
+  let inst = general rng in
+  let g = inst.Instance.graph in
+  let labels = Lcl.greedy_mis g in
+  if Rng.bool rng then begin
+    let v = Rng.int rng (Graph.n g) in
+    labels.(v) <- 1 - labels.(v)
+  end;
+  Instance.make ~labels ~ids:inst.Instance.ids ~id_bits:inst.Instance.id_bits g
+
+let clique =
+  Spanning_tree.counted ~name:"clique" ~total_pred:(fun _ -> true)
+    ~local:(fun ~total ~me:_ ~degree -> degree = total - 1)
+    ~root_check:(fun ~total:_ ~degree:_ -> true)
+    ()
+
+(* (scheme, instance family) pairs: the registry, then the
+   constructors it does not pin. *)
+let schemes =
+  Array.of_list
+    (List.map (fun e -> (e.Registry.scheme, e.Registry.instance)) Registry.all
+    @ [
+        (Lcl.scheme_of_labeled Lcl.maximal_independent_set, labeled);
+        ( Tree_mso.make_table Uop.has_perfect_matching,
+          family "tree-mso:perfect-matching" );
+        ( Tree_mso.with_tree_promise_check
+            (Tree_mso.make Library.has_perfect_matching.Library.auto),
+          general );
+        ( Scheme.disjoin ~name:"acyclic-or-clique" Spanning_tree.acyclicity
+            clique,
+          general );
+        (Depth2_fo.at_most_one_vertex, general);
+        (Depth2_fo.more_than_one_vertex, general);
+        ( Universal.make ~name:"triangle-free" Props.triangle_free.Props.check,
+          family "universal" );
+      ])
+
+let entry_of rng = schemes.(Rng.int rng (Array.length schemes))
 
 (* Corrupt a few vertices: replacement with noise, truncation to empty,
    or a single bit flip — the latter exercises "almost well-formed"
@@ -73,21 +114,16 @@ let qcheck_kernel_per_vertex =
     ~name:"compile: kernel verdict ≡ interpreted verdict at every vertex"
     ~count:600 seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, instance = entry_of rng in
+      let inst = instance rng in
       let certs = certs_of rng scheme inst in
       match Vcompile.compile scheme inst certs with
-      | None ->
-          (* compile refuses only schemes without a lowering *)
-          scheme.Scheme.compiled = None
+      | None -> false
       | Some kernel ->
           let n = Instance.n inst in
           let ok = ref true in
           for v = 0 to n - 1 do
-            let interpreted =
-              scheme.Scheme.verifier (Scheme.view_of inst certs v)
-            in
+            let interpreted = Scheme.verify scheme (Scheme.view_of inst certs v) in
             if kernel v <> interpreted then ok := false
           done;
           !ok)
@@ -97,33 +133,19 @@ let qcheck_view_checker_per_vertex =
     ~name:"view_checker ≡ interpreted verifier on the same views" ~count:600
     seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, instance = entry_of rng in
+      let inst = instance rng in
       let certs = certs_of rng scheme inst in
       match Vcompile.view_checker scheme with
-      | None -> scheme.Scheme.compiled = None
+      | None -> false
       | Some fast ->
           let n = Instance.n inst in
           let ok = ref true in
           for v = 0 to n - 1 do
             let view = Scheme.view_of inst certs v in
-            if fast view <> scheme.Scheme.verifier view then ok := false
+            if fast view <> Scheme.verify scheme view then ok := false
           done;
           !ok)
-
-(* The registry must actually exercise the compiled path: the families
-   the bench ladders run on all publish lowerings. *)
-let lowered_coverage () =
-  let lowered name =
-    match Registry.find name with
-    | None -> Alcotest.failf "registry entry %s missing" name
-    | Some e -> e.Registry.scheme.Scheme.compiled <> None
-  in
-  List.iter
-    (fun name -> check (name ^ " is lowered") true (lowered name))
-    [ "spanning"; "acyclic"; "treedepth"; "kernel-mso";
-      "tree-mso:perfect-matching" ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: engine and runtime                                      *)
@@ -134,9 +156,8 @@ let qcheck_engine_jobs_ladder =
     ~name:"run_par ≡ Scheme.run at jobs 1/4/8 (compiled on)" ~count:400
     seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, instance = entry_of rng in
+      let inst = instance rng in
       let certs = certs_of rng scheme inst in
       let seq = Scheme.run scheme inst certs in
       List.for_all
@@ -151,9 +172,8 @@ let qcheck_runtime_compiled_flag =
     ~name:"Runtime.execute: ~compiled:true ≡ ~compiled:false (trace included)"
     ~count:250 seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, instance = entry_of rng in
+      let inst = instance rng in
       let certs = certs_of rng scheme inst in
       let rounds = 1 + Rng.int rng 2 in
       let pool = List.nth pools (Rng.int rng 3) in
@@ -216,8 +236,6 @@ let suite =
       [
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
         QCheck_alcotest.to_alcotest qcheck_view_checker_per_vertex;
-        Alcotest.test_case "bench families publish lowerings" `Quick
-          lowered_coverage;
       ] );
     ( "vcompile:end-to-end",
       [
