@@ -9,13 +9,14 @@
     dependent (span timings, cache hit accounting, sampled live sizes,
     pool/chunk geometry that varies with [--jobs]).
 
-    Rendering follows the [BENCH_PERF.json] discipline
-    ({!Localcert_util.Perf_schema}): canonical number formatting, names
-    sorted, and a strict parser that rejects unknown fields, unsorted
-    names and malformed shapes, such that render ∘ parse is a fixpoint
-    on rendered documents.  The CI telemetry smoke and the
-    [localcert stats --validate] subcommand parse snapshots with
-    exactly this parser. *)
+    Rendering and decoding go through the {!Json} codec shared with
+    [BENCH_PERF.json] and [BENCH_SERVE.json]: canonical number
+    formatting, the {!Json.pretty} layout, and strict decoders that
+    reject unknown fields, malformed shapes and out-of-range integers.
+    This module adds sorted names and histogram shape, such that
+    render ∘ parse is a fixpoint on rendered documents.  The CI
+    telemetry smoke and the [localcert stats --validate] subcommand
+    parse snapshots with exactly this parser. *)
 
 type histogram = {
   name : string;

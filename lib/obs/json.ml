@@ -8,29 +8,40 @@ type t =
 
 exception Error of string
 
+let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+(* Most strings (names, reasons) need no escaping; returning them as
+   they are keeps the streaming trace writer free of a copy per string. *)
 let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if String.for_all plain s then s
+  else begin
+    let b = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 (* Canonical number rendering: integers as integers, everything else
    as the shortest decimal that parses back to exactly the same float.
    Exact round-tripping makes render ∘ parse a fixpoint (artifact-guard
    tests rely on it): a lossy rendering could reparse to an
-   integer-valued float and flip formatting branches. *)
+   integer-valued float and flip formatting branches.  JSON has no
+   token for nan or the infinities, so they are refused here, where the
+   writer can still be blamed, rather than at the next parse. *)
 let num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if not (Float.is_finite f) then
+    invalid_arg (Printf.sprintf "Json.num: non-finite %F" f)
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else
     let rec go p =
       let s = Printf.sprintf "%.*g" p f in
@@ -74,38 +85,12 @@ let parse_exn s =
       | Some '\\' -> (
           advance ();
           match peek () with
-          | Some '"' ->
-              Buffer.add_char b '"';
-              advance ();
-              go ()
-          | Some '\\' ->
-              Buffer.add_char b '\\';
-              advance ();
-              go ()
-          | Some '/' ->
-              Buffer.add_char b '/';
-              advance ();
-              go ()
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance ();
-              go ()
-          | Some 'r' ->
-              Buffer.add_char b '\r';
-              advance ();
-              go ()
-          | Some 'b' ->
-              Buffer.add_char b '\b';
-              advance ();
-              go ()
-          | Some 'f' ->
-              Buffer.add_char b '\012';
-              advance ();
-              go ()
+          | Some (('"' | '\\' | '/') as c) -> take c
+          | Some 'n' -> take '\n'
+          | Some 't' -> take '\t'
+          | Some 'r' -> take '\r'
+          | Some 'b' -> take '\b'
+          | Some 'f' -> take '\012'
           | Some 'u' ->
               advance ();
               if !pos + 4 > len then fail "truncated \\u escape";
@@ -119,10 +104,13 @@ let parse_exn s =
               Buffer.add_char b (if code < 0x80 then Char.chr code else '?');
               go ()
           | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
+      | Some c -> take c
+    (* append [c], the decoding of the character under the cursor, and
+       move past it *)
+    and take c =
+      Buffer.add_char b c;
+      advance ();
+      go ()
     in
     go ();
     Buffer.contents b
@@ -140,8 +128,11 @@ let parse_exn s =
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
+    (* a literal past the float range would parse to an infinity that
+       [num] cannot write back *)
     match float_of_string_opt text with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail (Printf.sprintf "number %S out of range" text)
     | None -> fail (Printf.sprintf "bad number %S" text)
   in
   let rec parse_value () =
@@ -209,6 +200,19 @@ let parse_exn s =
 
 let parse s = match parse_exn s with v -> Ok v | exception Error msg -> Error msg
 
+let add_str b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (escape s);
+  Buffer.add_char b '"'
+
+let add_scalar b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool true -> Buffer.add_string b "true"
+  | Bool false -> Buffer.add_string b "false"
+  | Num f -> Buffer.add_string b (num f)
+  | Str s -> add_str b s
+  | Arr _ | Obj _ -> invalid_arg "Json.add_scalar"
+
 (* Compact canonical rendering of a whole tree.  Paired with [escape]
    and [num], parse ∘ render is the identity on trees, which gives
    every artifact built on this module (trace JSON included) the
@@ -216,14 +220,6 @@ let parse s = match parse_exn s with v -> Ok v | exception Error msg -> Error ms
 let render v =
   let b = Buffer.create 1024 in
   let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f -> Buffer.add_string b (num f)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
     | Arr l ->
         Buffer.add_char b '[';
         List.iteri
@@ -237,12 +233,115 @@ let render v =
         List.iteri
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
+            add_str b k;
+            Buffer.add_char b ':';
             go x)
           o;
         Buffer.add_char b '}'
+    | v -> add_scalar b v
   in
   go v;
   Buffer.contents b
+
+(* The artifact layout: two-space indent, one member per line, except
+   that an array or object holding only scalars stays on one line — a
+   table row or a histogram's bounds reads better flat.  Same tokens as
+   [render], so the two parse to the same tree. *)
+let pretty v =
+  let b = Buffer.create 1024 in
+  let scalar = function Arr _ | Obj _ -> false | _ -> true in
+  let rec go indent = function
+    | Arr l -> members indent '[' ']' (List.map (fun x -> ("", x)) l)
+    | Obj o ->
+        members indent '{' '}'
+          (List.map (fun (k, x) -> (Printf.sprintf "\"%s\": " (escape k), x)) o)
+    | v -> add_scalar b v
+  (* [l] pairs each member with its key prefix, empty in an array *)
+  and members indent opening closing l =
+    let flat = List.for_all (fun (_, x) -> scalar x) l in
+    let inner = if flat then " " else "\n" ^ indent ^ "  " in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i (key, x) ->
+        if i > 0 then Buffer.add_char b ',';
+        Buffer.add_string b inner;
+        Buffer.add_string b key;
+        go (indent ^ "  ") x)
+      l;
+    if l <> [] then Buffer.add_string b (if flat then " " else "\n" ^ indent);
+    Buffer.add_char b closing
+  in
+  go "" v;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let int i = Num (float_of_int i)
+
+(* ------------------------------------------------------------------ *)
+(* Strict decoding.  Each artifact schema walks its tree with these
+   primitives; a violation raises [Error] with a message that starts
+   with the context it was given, and [decode] turns it into a result. *)
+
+let fail msg = raise (Error msg)
+
+let field o name =
+  match List.assoc_opt name o with
+  | Some v -> v
+  | None -> fail (Printf.sprintf "missing field %S" name)
+
+let get decode o name = decode name (field o name)
+let get_opt decode o name = Option.map (decode name) (List.assoc_opt name o)
+
+let as_obj ctx fields = function
+  | Obj o ->
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem k fields) then
+            fail (Printf.sprintf "unexpected field %S in %s" k ctx))
+        o;
+      o
+  | _ -> fail (ctx ^ ": expected an object")
+
+let as_arr ctx = function
+  | Arr a -> a
+  | _ -> fail (ctx ^ ": expected an array")
+
+let as_num ctx = function
+  | Num f -> f
+  | _ -> fail (ctx ^ ": expected a number")
+
+let as_nonneg ctx v =
+  let f = as_num ctx v in
+  if f < 0. then fail (ctx ^ ": negative");
+  f
+
+let as_int ctx v =
+  let f = as_num ctx v in
+  if not (Float.is_integer f) then fail (ctx ^ ": expected an integer");
+  (* [Float.is_integer] admits values like 2^62 or 1e300 whose
+     [int_of_float] is undefined; native ints cover [-2^62, 2^62).
+     -2^62 is exactly representable and equals [min_int], so only
+     values strictly below it are out of range. *)
+  if f >= 0x1p62 || f < -0x1p62 then
+    fail (ctx ^ ": integer overflows the native int range");
+  int_of_float f
+
+let as_nonneg_int ctx v =
+  let i = as_int ctx v in
+  if i < 0 then fail (ctx ^ ": negative");
+  i
+
+let as_bool ctx = function
+  | Bool b -> b
+  | _ -> fail (ctx ^ ": expected a boolean")
+
+let as_name ctx = function
+  | Str s when s <> "" -> s
+  | Str _ -> fail (ctx ^ ": empty string")
+  | _ -> fail (ctx ^ ": expected a string")
+
+let decode f s =
+  match f (parse_exn s) with v -> Ok v | exception Error msg -> Error msg
+
+let decode_exn who f s =
+  match decode f s with Ok v -> v | Error msg -> invalid_arg (who ^ ": " ^ msg)

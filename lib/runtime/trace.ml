@@ -173,20 +173,6 @@ let detection_latency (m : metrics) =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let event_json b = function
   | Crash { vertex } ->
       Printf.bprintf b {|{"type":"crash","vertex":%d}|} vertex
@@ -216,7 +202,7 @@ let event_json b = function
         accepted;
       if not accepted then begin
         Buffer.add_string b {|,"reason":"|};
-        escape b reason;
+        Buffer.add_string b (Json.escape reason);
         Buffer.add_char b '"'
       end;
       Buffer.add_char b '}'
@@ -237,7 +223,7 @@ let round_json b r =
   sep_iter b
     (fun b (v, reason) ->
       Printf.bprintf b {|{"vertex":%d,"reason":"|} v;
-      escape b reason;
+      Buffer.add_string b (Json.escape reason);
       Buffer.add_string b {|"}|})
     r.rejections;
   Buffer.add_string b {|],"events":[|};
@@ -247,9 +233,9 @@ let round_json b r =
 let to_json t =
   let b = Buffer.create 4096 in
   Buffer.add_string b {|{"scheme":"|};
-  escape b t.scheme;
+  Buffer.add_string b (Json.escape t.scheme);
   Printf.bprintf b {|","n":%d,"seed":%d,"plan":"|} t.n t.seed;
-  escape b t.plan;
+  Buffer.add_string b (Json.escape t.plan);
   Buffer.add_string b {|","rounds":[|};
   sep_iter b round_json t.rounds;
   Buffer.add_string b "]}";

@@ -8,10 +8,12 @@
     Like [BENCH_PERF.json] ({!Localcert_util.Perf_schema}), the schema
     lives next to the producer and is enforced by the test suite over
     the committed artifact, so drift between writer and reader is a
-    test failure rather than a silently stale file.  Validation is
-    strict: exact field sets, non-negative finite numbers, outcome
-    counts that tile [sent], and percentile monotonicity
-    (p50 ≤ p99 ≤ p999 ≤ max). *)
+    test failure rather than a silently stale file.  Rendering and the
+    strict decoding primitives (exact field sets, non-negative finite
+    numbers, integers within the native int range) are the shared
+    {!Localcert_obs.Json} codec; this module adds the domain
+    invariants: outcome counts that tile [sent], percentile
+    monotonicity (p50 ≤ p99 ≤ p999 ≤ max) and unique labels. *)
 
 type run = {
   label : string;  (** unique within the document *)

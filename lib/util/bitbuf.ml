@@ -169,6 +169,9 @@ module Reader = struct
     if r.pos + (2 * k) + 1 > Bitstring.length r.src then
       fail "truncated certificate";
     let rest = Bitstring.unsafe_extract r.src ~pos:(r.pos + k + 1) ~width:k in
+    (* 62 zeros encode 2^62 + rest - 1, which fits a native int only
+       for rest = 0 ([Writer.nat max_int]); anything else would wrap *)
+    if k = 62 && rest <> 0 then fail "nat: unreasonable length";
     r.pos <- r.pos + (2 * k) + 1;
     ((1 lsl k) lor rest) - 1
 

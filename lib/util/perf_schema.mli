@@ -15,10 +15,13 @@
     what this module parses is a test failure, not a silently stale
     file.
 
-    Rendering and parsing build on {!Localcert_obs.Json} (no external
-    JSON library in the dependency cone); the parser accepts general
-    JSON but [parse] rejects documents that do not match the schema
-    exactly. *)
+    Rendering ({!Localcert_obs.Json.pretty}) and strict decoding (the
+    [Json.as_*] primitives, shared with every other artifact) live in
+    {!Localcert_obs.Json}; this module keeps the record types, the
+    field lists and the domain invariants: positive sizes and job
+    counts, ratios in [0..1], one row per job count, and the
+    {!jobs_monotone} ladder guard.  [parse] rejects documents that do
+    not match the schema exactly. *)
 
 type jrow = {
   jobs : int;  (** pool size used for the parallel verifier *)

@@ -265,6 +265,55 @@ let export_rejects_malformed () =
     | Ok _ -> true
     | Error _ -> false)
 
+(* JSON has no token for nan or the infinities: the writer refuses
+   them instead of emitting text its own parser rejects, and the parser
+   refuses literals past the float range instead of producing an
+   infinity the writer would refuse. *)
+let json_num_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      let raises g =
+        match g () with _ -> false | exception Invalid_argument _ -> true
+      in
+      check (Printf.sprintf "num %F raises" f) true
+        (raises (fun () -> Json.num f));
+      check (Printf.sprintf "render of %F raises" f) true
+        (raises (fun () -> Json.render (Json.Obj [ ("x", Json.Num f) ]))))
+    [ nan; infinity; neg_infinity ];
+  List.iter
+    (fun text ->
+      check (text ^ " does not parse") true
+        (Result.is_error (Json.parse (Printf.sprintf {|{"x":%s}|} text))))
+    [ "1e999"; "-1e999" ];
+  check_string "finite still renders" {|{"x":0.5}|}
+    (Json.render (Json.Obj [ ("x", Json.Num 0.5) ]))
+
+(* The artifact layout: scalar-only arrays and objects on one line,
+   anything holding a container one member per line, two-space
+   indent; the same tree parses back. *)
+let json_pretty_layout () =
+  let v =
+    Json.Obj
+      [
+        ("a", Json.Arr [ Json.Num 1.; Json.Num 2. ]);
+        ("b", Json.Obj [ ("k", Json.Str "v"); ("z", Json.Null) ]);
+        ("c", Json.Arr []);
+        ("d", Json.Arr [ Json.Obj [ ("t", Json.Bool true) ] ]);
+      ]
+  in
+  let text = Json.pretty v in
+  check_string "layout"
+    "{\n\
+    \  \"a\": [ 1, 2 ],\n\
+    \  \"b\": { \"k\": \"v\", \"z\": null },\n\
+    \  \"c\": [],\n\
+    \  \"d\": [\n\
+    \    { \"t\": true }\n\
+    \  ]\n\
+     }\n"
+    text;
+  check "parse o pretty is the identity" true (Json.parse_exn text = v)
+
 (* Every # TYPE block in the Prometheus exposition must be well-formed
    text: a TYPE line per metric (no duplicates), every sample under
    the most recent TYPE with a legal suffix, numeric values, and
@@ -614,6 +663,9 @@ let suite =
           export_rejects_malformed;
         Alcotest.test_case "prometheus TYPE blocks well-formed" `Quick
           prometheus_well_formed;
+        Alcotest.test_case "json num rejects non-finite" `Quick
+          json_num_rejects_non_finite;
+        Alcotest.test_case "json pretty layout" `Quick json_pretty_layout;
       ] );
     ( "obs-differential",
       [

@@ -154,6 +154,11 @@ let rejects_malformed () =
       ( "negative max_rss_mb",
         {|{ "smoke": false, "series": [ { "scheme": "x", "groups": [ { "n": 1, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "max_rss_mb": -5, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
       );
+      (* -6e18 is integer-valued but below -2^62: [int_of_float] would
+         wrap it to a positive n instead of rejecting it *)
+      ( "n beyond the native int range",
+        {|{ "smoke": false, "series": [ { "scheme": "x", "groups": [ { "n": -6e18, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
+      );
       ( "memo ratio above one",
         {|{ "smoke": false, "series": [ { "scheme": "x", "groups": [ { "n": 1, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "memo_hit_ratio": 1.5, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
       );
@@ -279,6 +284,8 @@ let committed_artifact_parses () =
       (match Perf_schema.parse text with
       | Error msg -> Alcotest.failf "%s does not parse: %s" path msg
       | Ok d ->
+          check "parse o render is the identity" true
+            (Perf_schema.parse (Perf_schema.render d) = Ok d);
           check "at least 4 scheme families" true
             (List.length d.Perf_schema.series >= 4);
           List.iter

@@ -673,6 +673,14 @@ let bench_schema_rejects () =
     };
   reject "duplicate labels"
     { bench_doc with Bench_schema.runs = [ bench_run; bench_run ] };
+  (* 1e300 is integer-valued but far past the native int range: it
+     must be rejected, not converted (to 0, which would tile) *)
+  (match
+     Bench_schema.parse
+       {|{ "smoke": false, "workers": 1, "runs": [ { "label": "x", "opcode": "verify", "scheme": "spanning", "graph": "path:4", "connections": 1, "window": 1, "sent": 1e300, "ok": 0, "retry_later": 0, "errors": 0, "duration_s": 1, "throughput_rps": 0, "p50_us": 0, "p99_us": 0, "p999_us": 0, "max_us": 0 } ] }|}
+   with
+  | Ok _ -> Alcotest.fail "accepted sent = 1e300"
+  | Error _ -> ());
   match Bench_schema.parse "{}" with
   | Ok _ -> Alcotest.fail "accepted an empty document"
   | Error _ -> ()
@@ -702,6 +710,8 @@ let committed_artifact () =
       match Bench_schema.parse text with
       | Error e -> Alcotest.failf "%s invalid: %s" path e
       | Ok d -> (
+          check "parse o render is the identity" true
+            (Bench_schema.parse (Bench_schema.render d) = Ok d);
           match Bench_schema.find_run d "verify-n4096" with
           | None -> Alcotest.fail "missing the verify-n4096 run"
           | Some r ->

@@ -77,6 +77,21 @@ let truncated_input_rejected () =
   check "decode None on padding" true
     (Bitbuf.decode padded Bitbuf.Reader.nat = None)
 
+(* A 62-zero gamma prefix is the longest one a native int admits: it
+   decodes only [max_int] (rest bits all zero); any other rest would
+   overflow into a negative "natural". *)
+let nat_gamma_overflow_rejected () =
+  let w = Bitbuf.Writer.create () in
+  Bitbuf.Writer.nat w max_int;
+  check "max_int round-trips" true
+    (Bitbuf.decode (Bitbuf.Writer.contents w) Bitbuf.Reader.nat = Some max_int);
+  let crafted =
+    Bitstring.of_string
+      (String.make 62 '0' ^ "1" ^ String.make 61 '0' ^ "1")
+  in
+  check "62-zero prefix with nonzero rest rejected" true
+    (Bitbuf.decode crafted Bitbuf.Reader.nat = None)
+
 let nat_gamma_size () =
   (* Elias gamma of n+1 uses 2·⌊log₂(n+1)⌋ + 1 bits *)
   let w = Bitbuf.Writer.create () in
@@ -311,6 +326,8 @@ let suite =
         Alcotest.test_case "gamma size" `Quick nat_gamma_size;
         QCheck_alcotest.to_alcotest qcheck_bitbuf_nat;
         QCheck_alcotest.to_alcotest qcheck_bitbuf_fixed;
+        Alcotest.test_case "gamma overflow rejected" `Quick
+          nat_gamma_overflow_rejected;
       ] );
     ( "util:rng",
       [
